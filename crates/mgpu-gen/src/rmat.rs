@@ -87,17 +87,12 @@ fn one_edge(scale: u32, p: &RmatParams, rng: &mut ChaCha8Rng) -> (u32, u32) {
         let vd = p.d * (0.9 + 0.2 * rng.gen::<f64>());
         let s = va + vb + vc + vd;
         let r = rng.gen::<f64>() * s;
-        let (sbit, dbit) = if r < va {
-            (0, 0)
-        } else if r < va + vb {
-            (0, 1)
-        } else if r < va + vb + vc {
-            (1, 0)
-        } else {
-            (1, 1)
-        };
-        src = (src << 1) | sbit;
-        dst = (dst << 1) | dbit;
+        // Quadrant 0..=3 = (0,0), (0,1), (1,0), (1,1). The weights are
+        // non-negative, so the thresholds are monotone and counting the
+        // ones `r` reaches picks the quadrant a branch chain would.
+        let q = (r >= va) as u32 + (r >= va + vb) as u32 + (r >= va + vb + vc) as u32;
+        src = (src << 1) | (q >> 1);
+        dst = (dst << 1) | (q & 1);
     }
     (src, dst)
 }

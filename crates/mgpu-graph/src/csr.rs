@@ -43,6 +43,65 @@ impl std::fmt::Display for CsrError {
 
 impl std::error::Error for CsrError {}
 
+/// Errors unless `n_vertices` ids fit `V` and `n_edges` offsets fit `O`.
+pub(crate) fn check_widths<V: Id, O: Id>(
+    n_vertices: usize,
+    n_edges: usize,
+) -> Result<(), CsrError> {
+    if n_edges > O::MAX_AS_USIZE {
+        return Err(CsrError::OffsetOverflow { edges: n_edges, max: O::MAX_AS_USIZE });
+    }
+    // ids run 0..n, so the largest id is n-1; MAX_AS_USIZE+1 vertices fit
+    if n_vertices > 0 && n_vertices - 1 > V::MAX_AS_USIZE {
+        return Err(CsrError::VertexOverflow {
+            vertices: n_vertices,
+            max: V::MAX_AS_USIZE.saturating_add(1),
+        });
+    }
+    Ok(())
+}
+
+/// A stable counting sort into CSR rows: with every row's degree known up
+/// front, each pushed entry lands at the next free slot of its row, so a
+/// row lists its entries in push order. `O(|V| + |E|)`.
+pub(crate) struct RowScatter<V> {
+    /// `next[r + 1]` is the next free slot of row `r`; once every entry is
+    /// pushed it is the end of row `r`, and `next` is the offsets array.
+    next: Vec<usize>,
+    cols: Vec<V>,
+    weights: Option<Vec<u32>>,
+}
+
+impl<V: Id> RowScatter<V> {
+    /// Room for `degree[r]` entries in each row `r`.
+    pub(crate) fn new(degree: &[usize], weighted: bool) -> Self {
+        let mut next = vec![0usize; degree.len() + 1];
+        let mut acc = 0usize;
+        for (slot, &d) in next[1..].iter_mut().zip(degree) {
+            *slot = acc;
+            acc += d;
+        }
+        RowScatter { next, cols: vec![V::default(); acc], weights: weighted.then(|| vec![0; acc]) }
+    }
+
+    /// Append `(col, w)` to row `row`; `w` is dropped when unweighted.
+    #[inline]
+    pub(crate) fn push(&mut self, row: usize, col: V, w: u32) {
+        let at = self.next[row + 1];
+        self.next[row + 1] = at + 1;
+        self.cols[at] = col;
+        if let Some(ws) = &mut self.weights {
+            ws[at] = w;
+        }
+    }
+
+    /// `(offsets, cols, weights)`; every row must be full.
+    pub(crate) fn finish(self) -> (Vec<usize>, Vec<V>, Option<Vec<u32>>) {
+        debug_assert_eq!(self.next.last().copied(), Some(self.cols.len()), "rows not full");
+        (self.next, self.cols, self.weights)
+    }
+}
+
 /// A CSR graph with vertex ids of type `V` and edge offsets of type `O`.
 ///
 /// `O` must be wide enough for `n_edges`; the builder checks this. The
@@ -89,40 +148,26 @@ impl<V: Id, O: Id> Csr<V, O> {
     /// [`Csr::from_coo`] with a typed width check: errors (never truncates)
     /// when the edge count overflows `O` or the vertex count overflows `V`.
     pub fn try_from_coo(coo: &Coo<V>) -> Result<Self, CsrError> {
-        let n = coo.n_vertices;
-        if coo.n_edges() > O::MAX_AS_USIZE {
-            return Err(CsrError::OffsetOverflow { edges: coo.n_edges(), max: O::MAX_AS_USIZE });
-        }
-        // ids run 0..n, so the largest id is n-1; MAX_AS_USIZE+1 vertices fit
-        if n > 0 && n - 1 > V::MAX_AS_USIZE {
-            return Err(CsrError::VertexOverflow {
-                vertices: n,
-                max: V::MAX_AS_USIZE.saturating_add(1),
-            });
-        }
-        let mut degree = vec![0usize; n];
+        check_widths::<V, O>(coo.n_vertices, coo.n_edges())?;
+        let mut degree = vec![0usize; coo.n_vertices];
         for &(s, _) in &coo.edges {
             degree[s.idx()] += 1;
         }
-        let mut offsets = vec![O::zero(); n + 1];
-        let mut acc = 0usize;
-        for v in 0..n {
-            offsets[v] = O::from_usize(acc);
-            acc += degree[v];
+        let mut rows = RowScatter::new(&degree, coo.weights.is_some());
+        for (s, d, w) in coo.iter_weighted() {
+            rows.push(s.idx(), d, w);
         }
-        offsets[n] = O::from_usize(acc);
-        let mut cols = vec![V::default(); coo.n_edges()];
-        let mut wout = coo.weights.as_ref().map(|_| vec![0u32; coo.n_edges()]);
-        let mut cursor: Vec<usize> = (0..n).map(|v| offsets[v].idx()).collect();
-        for (i, &(s, d)) in coo.edges.iter().enumerate() {
-            let at = cursor[s.idx()];
-            cols[at] = d;
-            if let (Some(wo), Some(wi)) = (&mut wout, &coo.weights) {
-                wo[at] = wi[i];
-            }
-            cursor[s.idx()] += 1;
-        }
-        Ok(Csr { row_offsets: offsets, col_indices: cols, weights: wout })
+        let (offsets, cols, weights) = rows.finish();
+        Ok(Self::from_usize_offsets(&offsets, cols, weights))
+    }
+
+    /// Narrow `usize` offsets to `O`. The caller has checked the widths.
+    pub(crate) fn from_usize_offsets(
+        offsets: &[usize],
+        cols: Vec<V>,
+        weights: Option<Vec<u32>>,
+    ) -> Self {
+        Self::from_parts(offsets.iter().map(|&o| O::from_usize(o)).collect(), cols, weights)
     }
 
     /// Number of vertices.
@@ -179,26 +224,29 @@ impl<V: Id, O: Id> Csr<V, O> {
         &self.col_indices
     }
 
+    /// Raw edge weights (length `n_edges`), if weighted.
+    pub fn weights(&self) -> Option<&[u32]> {
+        self.weights.as_deref()
+    }
+
     /// The transpose (reverse graph): the CSC view used by pull-mode
-    /// traversal. Weights follow their edges.
+    /// traversal. Weights follow their edges; each reversed row lists its
+    /// sources in increasing order.
     pub fn transpose(&self) -> Csr<V, O> {
         let n = self.n_vertices();
-        let mut coo = Coo::<V>::new(n);
-        coo.edges.reserve(self.n_edges());
-        if self.weights.is_some() {
-            coo.weights = Some(Vec::with_capacity(self.n_edges()));
+        let mut degree = vec![0usize; n];
+        for &d in &self.col_indices {
+            degree[d.idx()] += 1;
         }
+        let mut rows = RowScatter::new(&degree, self.is_weighted());
         for v in 0..n {
-            let v = V::from_usize(v);
-            for e in self.edge_range(v) {
-                let d = self.col_indices[e];
-                coo.edges.push((d, v));
-                if let Some(w) = &mut coo.weights {
-                    w.push(self.weights.as_ref().unwrap()[e]);
-                }
+            let src = V::from_usize(v);
+            for e in self.edge_range(src) {
+                rows.push(self.col_indices[e].idx(), src, self.edge_weight(e));
             }
         }
-        Csr::from_coo(&coo)
+        let (offsets, cols, weights) = rows.finish();
+        Csr::from_usize_offsets(&offsets, cols, weights)
     }
 
     /// In-memory footprint in bytes: what storing this graph costs a device
@@ -219,6 +267,7 @@ impl<V: Id, O: Id> Csr<V, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{oracle, GraphBuilder};
 
     fn diamond() -> Csr<u32, u64> {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
@@ -262,6 +311,19 @@ mod tests {
         let t = g.transpose();
         let w: Vec<_> = t.neighbors_weighted(2).collect();
         assert_eq!(w, vec![(1, 6)]);
+    }
+
+    #[test]
+    fn transpose_matches_the_coo_oracle() {
+        for seed in 0..150 {
+            for weighted in [false, true] {
+                let coo = oracle::random_coo(seed, 24, 120, weighted);
+                let g: Csr<u32, u64> = Csr::from_coo(&coo);
+                assert_eq!(g.transpose(), oracle::transpose(&g), "seed {seed}");
+                let g: Csr<u32, u32> = GraphBuilder::undirected(&coo);
+                assert_eq!(g.transpose(), oracle::transpose(&g), "seed {seed}, undirected");
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,8 @@ pub mod coo;
 pub mod csr;
 pub mod ids;
 pub mod io;
+#[cfg(test)]
+mod oracle;
 pub mod stats;
 
 pub use builder::{BuildOptions, CsrAuto, GraphBuilder};

@@ -218,40 +218,48 @@ impl<V: Id, O: Id> DistGraph<V, O> {
     fn build_dup_all(graph: &Csr<V, O>, table: Arc<Vec<u32>>, n_parts: usize) -> Self {
         let n = graph.n_vertices();
         let convert: Arc<Vec<V>> = Arc::new((0..n).map(V::from_usize).collect());
+        let (g_offsets, g_cols, g_weights) =
+            (graph.row_offsets(), graph.col_indices(), graph.weights());
+        // `seen_by[d] == gpu + 1` once part `gpu` has counted `d` as a border
+        // vertex; the stamps of different parts differ, so one array serves
+        // every part without clearing.
+        let mut seen_by = vec![0u32; n];
         let mut parts = Vec::with_capacity(n_parts);
         for gpu in 0..n_parts {
-            let mut coo = Coo::<V>::new(n);
-            let weighted = graph.is_weighted();
-            if weighted {
-                coo.weights = Some(Vec::new());
-            }
-            let mut border_seen: Vec<HashMap<V, ()>> =
-                (0..n_parts).map(|_| HashMap::new()).collect();
+            let stamp = gpu as u32 + 1;
+            // Each owned row is copied whole from the global CSR; every
+            // other row is empty.
+            let owned = |v: &usize| table[*v] as usize == gpu;
+            let m: usize = (0..n).filter(owned).map(|v| graph.degree(V::from_usize(v))).sum();
+            let mut offsets = Vec::with_capacity(n + 1);
+            offsets.push(O::zero());
+            let mut cols = Vec::with_capacity(m);
+            let mut weights = g_weights.map(|_| Vec::with_capacity(m));
+            let mut border_out = vec![0usize; n_parts];
             let mut n_local = 0usize;
             for v in 0..n {
-                if table[v] as usize != gpu {
-                    continue;
-                }
-                n_local += 1;
-                let vid = V::from_usize(v);
-                for e in graph.edge_range(vid) {
-                    let d = graph.col_indices()[e];
-                    coo.edges.push((vid, d));
-                    if let Some(w) = &mut coo.weights {
-                        w.push(graph.edge_weight(e));
+                if owned(&v) {
+                    n_local += 1;
+                    let row = g_offsets[v].idx()..g_offsets[v + 1].idx();
+                    for &d in &g_cols[row.clone()] {
+                        let od = table[d.idx()];
+                        if od as usize != gpu && seen_by[d.idx()] != stamp {
+                            seen_by[d.idx()] = stamp;
+                            border_out[od as usize] += 1;
+                        }
                     }
-                    let od = table[d.idx()] as usize;
-                    if od != gpu {
-                        border_seen[od].insert(d, ());
+                    cols.extend_from_slice(&g_cols[row.clone()]);
+                    if let (Some(w), Some(gw)) = (&mut weights, g_weights) {
+                        w.extend_from_slice(&gw[row]);
                     }
                 }
+                offsets.push(O::from_usize(cols.len()));
             }
-            let border_out = border_seen.iter().map(|s| s.len()).collect();
             parts.push(SubGraph {
                 gpu,
                 n_parts,
                 duplication: Duplication::All,
-                csr: Csr::from_coo(&coo),
+                csr: Csr::from_parts(offsets, cols, weights),
                 csc: None,
                 n_local,
                 local_to_global: None,
@@ -516,6 +524,78 @@ mod tests {
         let mut preds = csc.neighbors(1).to_vec();
         preds.sort_unstable();
         assert_eq!(preds, vec![0, 2]);
+    }
+
+    /// `build_dup_all` as it was: per-part COO, `Csr::from_coo`, and one
+    /// HashMap border set per peer. Returns `(csr, n_local, border_out)`
+    /// per part.
+    fn dup_all_oracle(
+        graph: &Csr<u32, u64>,
+        table: &[u32],
+        n_parts: usize,
+    ) -> Vec<(Csr<u32, u64>, usize, Vec<usize>)> {
+        let n = graph.n_vertices();
+        (0..n_parts)
+            .map(|gpu| {
+                let mut coo = Coo::<u32>::new(n);
+                if graph.is_weighted() {
+                    coo.weights = Some(Vec::new());
+                }
+                let mut border_seen: Vec<HashMap<u32, ()>> =
+                    (0..n_parts).map(|_| HashMap::new()).collect();
+                let mut n_local = 0;
+                for v in 0..n as u32 {
+                    if table[v as usize] as usize != gpu {
+                        continue;
+                    }
+                    n_local += 1;
+                    for e in graph.edge_range(v) {
+                        let d = graph.col_indices()[e];
+                        coo.edges.push((v, d));
+                        if let Some(w) = &mut coo.weights {
+                            w.push(graph.edge_weight(e));
+                        }
+                        let od = table[d as usize] as usize;
+                        if od != gpu {
+                            border_seen[od].insert(d, ());
+                        }
+                    }
+                }
+                let border_out = border_seen.iter().map(|s| s.len()).collect();
+                (Csr::from_coo(&coo), n_local, border_out)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn single_pass_dup_all_matches_the_hashmap_oracle() {
+        use mgpu_gen::{gnm, weights::add_uniform_weights};
+        use mgpu_graph::BuildOptions;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for case in 0..60u64 {
+            let n = rng.gen_range(1..60);
+            let mut coo = gnm(n, rng.gen_range(0..4 * n), case);
+            if case % 2 == 0 {
+                add_uniform_weights(&mut coo, 0..100, case);
+            }
+            // Raw builds keep duplicates and self-loops in the rows.
+            let options = if case % 3 == 0 { BuildOptions::raw() } else { BuildOptions::default() };
+            let g: Csr<u32, u64> = GraphBuilder::build(&coo, options);
+            let n_parts = rng.gen_range(1..6);
+            // Skewed owners, so some parts may own nothing.
+            let owner: Vec<u32> =
+                (0..n).map(|_| rng.gen_range(0..n_parts as u32).min(rng.gen_range(0..4))).collect();
+            let want = dup_all_oracle(&g, &owner, n_parts);
+            let dg = DistGraph::build(&g, owner, n_parts, Duplication::All);
+            for (part, (csr, n_local, border_out)) in dg.parts.iter().zip(want) {
+                assert_eq!(part.csr, csr, "case {case}, gpu {}", part.gpu);
+                assert_eq!(part.n_local, n_local, "case {case}, gpu {}", part.gpu);
+                assert_eq!(part.border_out, border_out, "case {case}, gpu {}", part.gpu);
+            }
+        }
     }
 
     #[test]
